@@ -55,17 +55,9 @@ func NewManager() *Manager {
 	}
 }
 
-// Register creates (and returns) the queue for the named wrapper, keeping
-// the sorted scan order current.
-func (m *Manager) Register(name string, capacity int) *Queue {
-	q := NewQueue(name, capacity)
-	m.Adopt(q)
-	return q
-}
-
-// Adopt registers a caller-supplied queue — typically one recycled from a
-// run pool and freshly Reset — under its current name, keeping the sorted
-// scan order current.
+// Adopt registers a queue — typically one recycled from a run pool and
+// freshly Reset — under its current name, keeping the sorted scan order
+// current.
 func (m *Manager) Adopt(q *Queue) {
 	name := q.Name()
 	if _, dup := m.queues[name]; dup {

@@ -13,33 +13,18 @@ import (
 // and the O(1)-amortized arrived-count cache behind Available.
 //
 // Pre-optimization reference on the baseline machine (2.1 GHz Xeon, same
-// benchmarks against the modulo ring with rescanning Available):
-// BenchmarkQueuePushPop 12.6 ns/op (now ~7.9), BenchmarkQueueAvailable
+// benchmark against the rescanning Available): BenchmarkQueueAvailable
 // 1455 ns/op at depth 384 (now ~3.1 — the rescan scaled linearly with
 // depth, the cache is O(1)).
-
-// BenchmarkQueuePushPop cycles tuples through the ring across many
-// wraparounds: the Push/Pop index arithmetic dominates.
-func BenchmarkQueuePushPop(b *testing.B) {
-	q := NewQueue("w", 96) // default window size; not a power of two
-	tup := relation.Tuple{1, 2, 3}
-	at := time.Duration(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at += time.Microsecond
-		q.Push(tup, at)
-		q.Pop(at)
-	}
-}
 
 // BenchmarkQueueAvailable queries a deep queue the way the engine does:
 // repeatedly, with a slowly advancing clock. The arrived-count cache makes
 // each call O(1) amortized instead of a rescan of the arrived prefix.
 func BenchmarkQueueAvailable(b *testing.B) {
 	const depth = 384
-	q := NewQueue("w", depth)
+	q := NewQueue("w", depth, 1)
 	for i := 0; i < depth; i++ {
-		q.Push(relation.Tuple{int64(i)}, time.Duration(i)*time.Microsecond)
+		push(q, int64(i), time.Duration(i)*time.Microsecond)
 	}
 	now := depth * time.Microsecond
 	b.ResetTimer()
@@ -52,37 +37,44 @@ func BenchmarkQueueAvailable(b *testing.B) {
 }
 
 // BenchmarkQueueObserveDrain measures the estimator feed plus a full
-// pop-refill cycle at engine batch granularity.
+// pop-credit-refill cycle at engine batch granularity.
 func BenchmarkQueueObserveDrain(b *testing.B) {
-	const depth = 96
-	q := NewQueue("w", depth)
+	const depth, chunk = 96, 8
+	q := NewQueue("w", depth, 2)
+	vals := [][]int64{make([]int64, chunk), make([]int64, chunk)}
+	pass := make([]bool, chunk)
+	arrivals := make([]time.Duration, chunk)
 	at := time.Duration(0)
-	tup := relation.Tuple{1, 2}
-	for i := 0; i < depth; i++ {
-		at += time.Microsecond
-		q.Push(tup, at)
+	refill := func() {
+		for j := range arrivals {
+			at += time.Microsecond
+			arrivals[j] = at
+		}
+		q.PushColsN(vals, pass, arrivals)
 	}
+	for i := 0; i < depth/chunk; i++ {
+		refill()
+	}
+	batch := relation.NewBatch(2)
+	popPass := make([]bool, chunk)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.ObserveArrivals(at)
-		for j := 0; j < 8; j++ {
-			q.Pop(at)
+		batch.Reset(2)
+		q.PopColsN(at, batch, popPass)
+		for j := 0; j < chunk; j++ {
+			q.Credit(at)
 		}
-		for j := 0; j < 8; j++ {
-			at += time.Microsecond
-			q.Push(tup, at)
-		}
+		refill()
 	}
 }
 
-// BenchmarkColumnarScan cycles a full window of 2-column batches through a
-// columnar queue — PushColsN ring copies in, PopColsN ring copies out into a
-// recycled batch — the wrapper→mediator hot path of the columnar dataflow.
-// Compare with BenchmarkQueuePushPop ×96 for the row-at-a-time equivalent.
+// BenchmarkColumnarScan cycles a full window of 2-column batches through the
+// queue — PushColsN ring copies in, PopColsN ring copies out into a
+// recycled batch, one Credit per slot — the wrapper→mediator hot path.
 func BenchmarkColumnarScan(b *testing.B) {
 	const depth = 96
-	q := NewQueue("w", depth)
-	q.SetColumnar(2)
+	q := NewQueue("w", depth, 2)
 	vals := make([][]int64, 2)
 	arrivals := make([]time.Duration, depth)
 	pass := make([]bool, depth)

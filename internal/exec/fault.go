@@ -127,7 +127,7 @@ func (m *Mediator) AbandonWrapper(name string) []string {
 	}
 	var labels []string
 	for _, f := range e.rt.frags {
-		if qs, ok := f.In.(*queueSource); ok && qs == e.qs && !f.Done() {
+		if f.colIn == e.qs && !f.Done() {
 			f.Abandon()
 			labels = append(labels, f.Label)
 		}
@@ -196,15 +196,12 @@ func (m *Mediator) registerFaultEntry(rt *Runtime, rel, cmName string, table *re
 		if rwait == 0 {
 			rwait = d.MeanWait
 		}
-		repOpts := []source.Option{source.WithMeanWait(rwait), source.AsStandby()}
-		if p, ok := rt.colPush[rel]; ok {
-			// The replica shares the primary's columnar queue, so it must
-			// deliver the same projected columns and wrapper-side predicate.
-			repOpts = append(repOpts, source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess))
-		}
+		// The replica shares the primary's queue, so it must deliver the same
+		// projected columns and wrapper-side predicate.
+		p := rt.colPush[rel]
 		repl, err := source.New(cmName+"~replica", table, e.qs.q,
 			sim.NewRNG(fault.SeedFor(m.Cfg.FaultSeed, cmName+"~replica")), netTime,
-			repOpts...)
+			source.WithMeanWait(rwait), source.AsStandby(), source.WithPushdown(p.keep, p.predIdx, p.predLess))
 		if err != nil {
 			return err
 		}

@@ -52,17 +52,14 @@ type Fragment struct {
 	// FromStep/ToStep bound the probed joins: Chain.Joins[FromStep:ToStep].
 	FromStep, ToStep int
 	// QueueInput distinguishes wrapper-fed fragments (which pay receive
-	// costs and apply the pushed-down predicate) from temp-fed ones.
+	// costs on input the wrapper already filtered) from temp-fed ones.
 	QueueInput bool
 	In         TupleSource
 	Term       TerminalKind
 	// Temp receives output tuples when Term == TermTemp.
 	Temp *mem.Temp
 
-	predIdx  int
-	predLess int64
-	hasPred  bool
-	steps    []stepExec
+	steps []stepExec
 
 	// Per-batch scratch storage, reused across input tuples: curBuf/nextBuf
 	// hold the intermediate tuple headers of the probe cascade, arena backs
@@ -81,7 +78,9 @@ type Fragment struct {
 	processed int64
 	done      bool
 
-	// popBuf stages bulk-popped input tuples between PopN and processing.
+	// tempIn is the bulk protocol view of a temp-fed fragment's In; popBuf
+	// stages its popped tuples between PopN and processing.
+	tempIn tempSource
 	popBuf []relation.Tuple
 
 	// prefixSig, when non-empty (governor mode, temp terminals), is the
@@ -89,8 +88,8 @@ type Fragment struct {
 	// registered for reuse by replans of the same segment.
 	prefixSig string
 
-	// Columnar input state (wrapper-fed fragments on a columnar queue).
-	// colIn is the batch protocol view of In; gatherAt maps batch columns to
+	// Columnar input state of wrapper-fed fragments. colIn is the batch
+	// protocol view of In; gatherAt maps batch columns to
 	// their full-schema positions in rowBuf, the reused scan-width processing
 	// row whose dead (projected-away) positions stay permanently zero.
 	colIn    *queueSource
@@ -170,11 +169,6 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 		Term:       term,
 		Temp:       temp,
 	}
-	if queueInput && c.Scan.Pred != nil {
-		f.hasPred = true
-		f.predIdx = c.Scan.Schema.MustIndexOf(c.Scan.Pred.Col)
-		f.predLess = c.Scan.Pred.Less
-	}
 	for i := fromStep; i < toStep; i++ {
 		j := c.Joins[i]
 		f.steps = append(f.steps, stepExec{
@@ -187,17 +181,17 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 		f.pendArena.Recycle(s.GetInts())
 		f.curBuf = s.GetTuples()
 		f.nextBuf = s.GetTuples()
-		f.popBuf = s.GetTuples()
 	}
 	if queueInput {
-		if qs, ok := in.(*queueSource); ok && qs.Columnar() {
-			p := rt.colPush[c.Scan.Rel.Name]
-			f.colIn = qs
-			f.gatherAt = p.keep
-			f.rowBuf = make(relation.Tuple, c.Scan.Schema.Width())
-			f.colBatch = rt.Cfg.Scratch.GetBatch(len(p.keep))
-			f.passBuf = rt.Cfg.Scratch.GetBools()
-		}
+		p := rt.colPush[c.Scan.Rel.Name]
+		f.colIn = in.(*queueSource)
+		f.gatherAt = p.keep
+		f.rowBuf = make(relation.Tuple, c.Scan.Schema.Width())
+		f.colBatch = rt.Cfg.Scratch.GetBatch(len(p.keep))
+		f.passBuf = rt.Cfg.Scratch.GetBools()
+	} else {
+		f.tempIn = in.(tempSource)
+		f.popBuf = rt.Cfg.Scratch.GetTuples()
 	}
 	rt.frags = append(rt.frags, f)
 	return f
@@ -398,9 +392,6 @@ func (f *Fragment) cascade(t relation.Tuple, arena *relation.Arena, curBuf, next
 	if f.QueueInput {
 		d += costs.ReceiveT
 	}
-	if f.hasPred && t[f.predIdx] >= f.predLess {
-		return nil, curBuf, nextBuf, d
-	}
 	cur, next := append(curBuf[:0], t), nextBuf[:0]
 	for _, s := range f.steps {
 		ts := f.rt.table(s.join)
@@ -495,12 +486,9 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 	}
 	var n int
 	var overflow bool
-	switch {
-	case f.colIn != nil:
+	if f.colIn != nil {
 		n, overflow = f.processColumnar(max)
-	case f.rt.Cfg.PerTupleDataflow:
-		n, overflow = f.processPerTuple(max)
-	default:
+	} else {
 		n, overflow = f.processBulk(max)
 	}
 	if overflow {
@@ -510,37 +498,12 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 	return n, false
 }
 
-// processPerTuple is the reference dataflow: pop one tuple at a time, each
-// pop immediately releasing its window slot. Kept behind
-// Config.PerTupleDataflow so differential tests can prove the bulk path
-// below is bit-identical to it.
-func (f *Fragment) processPerTuple(max int) (int, bool) {
-	n := 0
-	for n < max {
-		now := f.rt.Now()
-		if f.In.Available(now) == 0 {
-			break
-		}
-		t := f.In.Pop(now)
-		if f.processed == 0 {
-			f.rt.Trace.Add(now, sim.EvBatch, "%s first batch", f.Label)
-		}
-		f.processed++
-		n++
-		if !f.sinkAll(f.applyTuple(t)) {
-			return n, true
-		}
-	}
-	return n, false
-}
-
-// processBulk consumes input in bulk chunks: every tuple available at the
-// chunk instant is removed from the source in one PopN, then each is
-// credited back at the virtual instant its processing starts — the instant
-// a per-tuple Pop would have freed its window slot. After a chunk the
-// availability check repeats at the advanced clock, exactly like the
-// per-tuple loop's per-iteration check, so refills arriving while a chunk
-// was processed are picked up at the same instants.
+// processBulk consumes temp input in bulk chunks: every tuple available at
+// the chunk instant is removed from the reader in one PopN (readers chunk at
+// page boundaries, so I/O charges land on the instants per-tuple reads
+// would), then each is processed in order. After a chunk the availability
+// check repeats at the advanced clock, so pages that became available while
+// a chunk was processed are picked up at the same instants.
 func (f *Fragment) processBulk(max int) (int, bool) {
 	n := 0
 	for n < max {
@@ -550,7 +513,7 @@ func (f *Fragment) processBulk(max int) (int, bool) {
 			f.popBuf = make([]relation.Tuple, want)
 		}
 		buf := f.popBuf[:want]
-		k := f.In.PopN(now, buf)
+		k := f.tempIn.PopN(now, buf)
 		if k == 0 {
 			break
 		}
@@ -694,14 +657,15 @@ func (f *Fragment) mergeLanes(k, chunks int) (int, bool) {
 	return n, false
 }
 
-// processColumnar is processBulk over a columnar queue: slots come out as
-// flat column runs plus a pass mask, and each is credited at the virtual
-// instant its processing starts — slot for slot the same protocol events as
-// the row path. A filtered slot (predicate already applied wrapper-side)
-// charges the same receive+move the row path's mediator-side predicate
-// rejection charges, at the same instant; a passing slot is gathered into
-// the reused full-width row (dead columns stay zero) and runs the same
-// cascade.
+// processColumnar consumes wrapper input: every slot available at the chunk
+// instant comes out of the queue in one PopBatch as flat column runs plus a
+// pass mask, and each is credited at the virtual instant its processing
+// starts — the instant that frees its window slot. A filtered slot
+// (predicate already applied wrapper-side) charges receive+move; a passing
+// slot is gathered into the reused full-width row (dead columns stay zero)
+// and runs the cascade. After a chunk the availability check repeats at the
+// advanced clock, so refills arriving while a chunk was processed are
+// picked up at the instants they arrived.
 func (f *Fragment) processColumnar(max int) (int, bool) {
 	costs := &f.rt.Costs
 	filteredCharge := costs.MoveT + costs.ReceiveT

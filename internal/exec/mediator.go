@@ -161,12 +161,17 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 				name, table.Rel.Cardinality, len(table.Rows))
 		}
 		cmName := rt.cmName(name)
-		q := m.Cfg.Scratch.Queue(cmName, m.Cfg.QueueTuples)
+		// The queue ring carries only the plan's live columns, and the scan
+		// predicate moves into the wrapper. Window slots and arrivals stay
+		// pre-filter, so scheduling inputs are untouched.
+		p := compileColPush(root, c.Scan)
+		rt.colPush[name] = p
+		q := m.Cfg.Scratch.Queue(cmName, m.Cfg.QueueTuples, len(p.keep))
 		m.CM.Adopt(q)
 		d := deliveries[name]
-		opts := []source.Option{source.WithMeanWait(d.MeanWait)}
+		opts := []source.Option{source.WithMeanWait(d.MeanWait), source.WithPushdown(p.keep, p.predIdx, p.predLess)}
 		if len(d.Phases) > 0 {
-			opts = []source.Option{source.WithPhases(d.Phases...)}
+			opts[0] = source.WithPhases(d.Phases...)
 		}
 		if d.InitialDelay > 0 {
 			opts = append(opts, source.WithInitialDelay(d.InitialDelay))
@@ -182,16 +187,6 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 				return nil, err
 			}
 			opts = append(opts, source.WithSharedStream(sh))
-		}
-		if m.Cfg.columnarDataflow() {
-			// Columnar dataflow: the queue ring carries only the plan's live
-			// columns, and the scan predicate moves into the wrapper. Window
-			// slots and arrivals stay pre-filter, so scheduling inputs are
-			// untouched.
-			p := compileColPush(root, c.Scan)
-			q.SetColumnar(len(p.keep))
-			opts = append(opts, source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess))
-			rt.colPush[name] = p
 		}
 		opts = m.compileFaults(name, cmName, opts)
 		src, err := source.New(cmName, table, q, rng.Fork(int64(i+1)), netTime, opts...)

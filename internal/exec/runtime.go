@@ -40,7 +40,7 @@ type Runtime struct {
 	sources map[string]*source.Source
 	qsrcs   map[string]*queueSource
 	tables  map[int]*tableState
-	colPush map[string]colPush // per-relation pushdown (columnar dataflow only)
+	colPush map[string]colPush // per-relation wrapper pushdown
 	frags   []*Fragment
 	// scatter is the radix scatter scratch of partition-parallel builds.
 	// Builds run one at a time inside the merge phase of a batch, so one

@@ -48,10 +48,10 @@ type Scratch struct {
 // NewScratch returns an empty pool.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// Queue returns a reset queue of the given capacity, recycled when the pool
-// holds one of matching capacity (window sizes are sweep parameters, so only
+// Queue returns a reset queue of the given capacity and column width,
+// recycled when the pool holds one of matching capacity (window sizes are sweep parameters, so only
 // an exact match preserves the protocol).
-func (s *Scratch) Queue(name string, capacity int) *comm.Queue {
+func (s *Scratch) Queue(name string, capacity, width int) *comm.Queue {
 	if s != nil {
 		for i := len(s.queues) - 1; i >= 0; i-- {
 			if q := s.queues[i]; q.Capacity() == capacity {
@@ -59,12 +59,12 @@ func (s *Scratch) Queue(name string, capacity int) *comm.Queue {
 				s.queues[i] = s.queues[last]
 				s.queues[last] = nil
 				s.queues = s.queues[:last]
-				q.Reset(name)
+				q.Reset(name, width)
 				return q
 			}
 		}
 	}
-	return comm.NewQueue(name, capacity)
+	return comm.NewQueue(name, capacity, width)
 }
 
 // PutQueue returns a queue to the pool once its run is over.

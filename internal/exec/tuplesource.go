@@ -9,26 +9,21 @@ import (
 	"dqs/internal/source"
 )
 
-// TupleSource is the uniform input protocol of a query fragment: wrapper
-// queues and temp-relation readers both satisfy it, so the DQP schedules
-// pipeline chains, materialization fragments and complement fragments with
-// the same machinery.
+// TupleSource is the uniform scheduling view of a query fragment's input:
+// wrapper queues and temp-relation readers both satisfy it, so the DQP
+// schedules pipeline chains, materialization fragments and complement
+// fragments with the same machinery. Consumption itself is input-specific:
+// a wrapper queue hands out columnar batches (queueSource.PopBatch), a temp
+// reader row runs (mem.Reader.PopN). Either way popped tuples keep their
+// flow-control slots until the consumer Credits each one at the virtual
+// instant it processes it (or returns unprocessed ones with UnpopN).
 type TupleSource interface {
 	// Available returns how many tuples can be popped at virtual time now.
 	Available(now time.Duration) int
 	// NextArrival returns when the next tuple becomes available; false
 	// means no tuple will ever arrive again.
 	NextArrival() (time.Duration, bool)
-	// Pop consumes the next tuple; only legal when Available(now) > 0.
-	Pop(now time.Duration) relation.Tuple
-	// PopN bulk-consumes up to len(dst) available tuples into dst without
-	// releasing their flow-control slots; the consumer must Credit each
-	// tuple at the virtual instant it processes it (or return unprocessed
-	// ones with UnpopN). Implementations may return fewer tuples than are
-	// available — temp readers chunk at page boundaries so I/O charges land
-	// on the same instants as per-tuple consumption.
-	PopN(now time.Duration, dst []relation.Tuple) int
-	// Credit releases one PopN'd tuple's flow-control slot at time now.
+	// Credit releases one popped tuple's flow-control slot at time now.
 	Credit(now time.Duration)
 	// UnpopN returns the newest n uncredited tuples to the source.
 	UnpopN(n int)
@@ -60,24 +55,9 @@ func (s *queueSource) NextArrival() (time.Duration, bool) {
 	return 0, false
 }
 
-func (s *queueSource) Pop(now time.Duration) relation.Tuple {
-	s.popped++
-	return s.q.Pop(now)
-}
-
-func (s *queueSource) PopN(now time.Duration, dst []relation.Tuple) int {
-	n := s.q.PopN(now, dst)
-	s.popped += n
-	return n
-}
-
-// Columnar reports whether the underlying queue transfers columnar batches.
-func (s *queueSource) Columnar() bool { return s.q.Columnar() }
-
-// PopBatch is the columnar PopN: it bulk-consumes up to len(pass) arrived
-// slots as flat column runs appended to dst, with the pushdown pass mask in
-// pass. Slot accounting (debt, credits, estimator feeds) is identical to
-// PopN, so the consumer owes a Credit per slot — filtered ones included.
+// PopBatch bulk-consumes up to len(pass) arrived slots as flat column runs
+// appended to dst, with the pushdown pass mask in pass. The consumer owes a
+// Credit per slot — filtered ones included.
 func (s *queueSource) PopBatch(now time.Duration, dst *relation.Batch, pass []bool) int {
 	n := s.q.PopColsN(now, dst, pass)
 	s.popped += n
@@ -101,8 +81,8 @@ func (s *queueSource) Remaining() int { return s.src.Rows() - s.popped }
 func (s *queueSource) swap(src *source.Source) { s.src = src }
 
 // tempSource adapts a temp-relation reader; mem.Reader implements the
-// bulk protocol natively, and Credit is a no-op: a temp reader has no
-// window protocol, so there is no producer to resume.
+// bulk protocol (PopN, UnpopN) natively, and Credit is a no-op: a temp
+// reader has no window protocol, so there is no producer to resume.
 type tempSource struct{ *mem.Reader }
 
 func (tempSource) Credit(time.Duration) {}

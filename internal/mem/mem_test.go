@@ -63,6 +63,17 @@ func newStore() (*TempStore, *sim.Clock, sim.Params) {
 	return NewTempStore(p, disk, clock), clock, p
 }
 
+// popOne consumes the next tuple through PopN, failing the test when it is
+// not in memory at now.
+func popOne(t *testing.T, r *Reader, now time.Duration) relation.Tuple {
+	t.Helper()
+	var buf [1]relation.Tuple
+	if r.PopN(now, buf[:]) != 1 {
+		t.Fatalf("PopN(%v) moved nothing with %d tuples remaining", now, r.Remaining())
+	}
+	return buf[0]
+}
+
 func TestTempWriteReadRoundTrip(t *testing.T) {
 	store, _, p := newStore()
 	schema := relation.NewSchema("x", "id")
@@ -85,7 +96,7 @@ func TestTempWriteReadRoundTrip(t *testing.T) {
 		if r.Exhausted() {
 			t.Fatalf("exhausted at %d", i)
 		}
-		got := r.Pop(now)
+		got := popOne(t, r, now)
 		if got[0] != int64(i) {
 			t.Fatalf("tuple %d = %v", i, got)
 		}
@@ -138,18 +149,28 @@ func TestTempReaderCachedPagesAreInstant(t *testing.T) {
 	}
 }
 
-func TestTempReaderPopFuturePanics(t *testing.T) {
-	store, clock, _ := newStore()
+// TestTempReaderPopNFutureReturnsNothing pins that PopN moves nothing while
+// the current page is still in flight, and nothing past the end.
+func TestTempReaderPopNFutureReturnsNothing(t *testing.T) {
+	store, clock, p := newStore()
 	temp := store.Create("t", relation.NewSchema("x", "id"))
-	temp.Append(relation.Tuple{1})
+	// More pages than the I/O cache holds, so the first page is evicted and
+	// its read takes disk time.
+	n := p.TuplesPerPage() * (p.IOCachePages + 4)
+	for i := 0; i < n; i++ {
+		temp.Append(relation.Tuple{int64(i)})
+	}
 	temp.Close()
 	r := temp.NewReader(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("pop of unread page did not panic")
-		}
-	}()
-	r.Pop(clock.Now())
+	buf := make([]relation.Tuple, 4)
+	if got := r.PopN(clock.Now(), buf); got != 0 || r.Remaining() != n {
+		t.Errorf("PopN of an unread page moved %d (remaining %d of %d)", got, r.Remaining(), n)
+	}
+	empty := store.Create("e", relation.NewSchema("x", "id"))
+	empty.Close()
+	if got := empty.NewReader(1).PopN(1<<62, buf); got != 0 {
+		t.Errorf("PopN past the end moved %d", got)
+	}
 }
 
 func TestTempSyncReaderHoldsCPU(t *testing.T) {
@@ -171,12 +192,12 @@ func TestTempSyncReaderHoldsCPU(t *testing.T) {
 		t.Errorf("sync reader Available = %d, want all 300", got)
 	}
 	before := clock.Now()
-	r.Pop(before)
+	popOne(t, r, before)
 	if clock.Now() <= before {
 		t.Error("sync pop on page boundary did not pay the read")
 	}
 	mid := clock.Now()
-	r.Pop(mid)
+	popOne(t, r, mid)
 	if clock.Now() != mid {
 		t.Error("second pop within a page paid extra time")
 	}
@@ -201,11 +222,6 @@ func TestTempMisusePanics(t *testing.T) {
 		temp := store.Create("t2", relation.NewSchema("x", "id"))
 		temp.Append(relation.Tuple{1})
 		temp.NewReader(1)
-	})
-	mustPanic("pop past end", func() {
-		temp := store.Create("t3", relation.NewSchema("x", "id"))
-		temp.Close()
-		temp.NewReader(1).Pop(1 << 62)
 	})
 }
 

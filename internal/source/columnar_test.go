@@ -19,17 +19,16 @@ func colTable(n int) *relation.Table {
 	}
 }
 
-// TestSourceColumnarDelivery drains a columnar source end to end: every row
+// TestSourceColumnarDelivery drains a pushdown source end to end: every row
 // claims a window slot in order, filtered rows carry pass=false with no
 // values, and passing rows carry exactly the projected live columns.
 func TestSourceColumnarDelivery(t *testing.T) {
 	const n = 200
 	tab := colTable(n)
 	keep := []int{0, 2}
-	q := comm.NewQueue("W", 16)
-	q.SetColumnar(len(keep))
+	q := comm.NewQueue("W", 16, len(keep))
 	src, err := New("W", tab, q, sim.NewRNG(2), us(1),
-		WithMeanWait(us(10)), WithColumnar(tab.Columns(), keep, 1, 50))
+		WithMeanWait(us(10)), WithPushdown(keep, 1, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,17 +77,22 @@ func TestSourceColumnarValidation(t *testing.T) {
 		name    string
 		keep    []int
 		predIdx int
+		width   int
 	}{
-		{"live column past width", []int{0, 3}, -1},
-		{"negative live column", []int{-1}, -1},
-		{"predicate column past width", []int{0}, 3},
+		{"live column past width", []int{0, 3}, -1, 2},
+		{"negative live column", []int{-1}, -1, 1},
+		{"predicate column past width", []int{0}, 3, 1},
+		{"queue narrower than the projection", []int{0, 2}, -1, 1},
 	}
 	for _, tc := range cases {
-		q := comm.NewQueue("W", 8)
-		q.SetColumnar(len(tc.keep))
-		if _, err := New("W", tab, q, sim.NewRNG(1), 0,
-			WithColumnar(tab.Columns(), tc.keep, tc.predIdx, 5)); err == nil {
-			t.Errorf("%s: New accepted invalid columnar config", tc.name)
+		q := comm.NewQueue("W", 8, tc.width)
+		if _, err := New("W", tab, q, sim.NewRNG(1), 0, WithPushdown(tc.keep, tc.predIdx, 5)); err == nil {
+			t.Errorf("%s: New accepted invalid pushdown config", tc.name)
 		}
+	}
+	// Without pushdown a source ships every column, so its queue must be
+	// table-wide.
+	if _, err := New("W", tab, comm.NewQueue("W", 8, 1), sim.NewRNG(1), 0); err == nil {
+		t.Error("New accepted a width-1 queue for an unprojected width-3 table")
 	}
 }

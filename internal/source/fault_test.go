@@ -16,7 +16,7 @@ func drain(q *comm.Queue) []time.Duration {
 	for q.Len() > 0 {
 		at, _ := q.NextArrival()
 		out = append(out, at)
-		q.Pop(now)
+		pop(q, now)
 	}
 	return out
 }
@@ -25,7 +25,7 @@ func drain(q *comm.Queue) []time.Duration {
 
 func TestPhaseEmptyScheduleRejected(t *testing.T) {
 	tab := makeTable(t, 10)
-	q := comm.NewQueue("W", 4)
+	q := comm.NewQueue("W", 4, 1)
 	if _, err := New("W", tab, q, sim.NewRNG(1), 0, WithPhases()); err == nil {
 		t.Error("empty phase list accepted; the schedule needs at least one phase")
 	}
@@ -34,7 +34,7 @@ func TestPhaseEmptyScheduleRejected(t *testing.T) {
 func TestPhaseZeroMeanWait(t *testing.T) {
 	// W = 0 is a valid phase: instantaneous production, not an error.
 	tab := makeTable(t, 50)
-	q := comm.NewQueue("W", 50)
+	q := comm.NewQueue("W", 50, 1)
 	src, err := New("W", tab, q, sim.NewRNG(1), 0, WithPhases(Phase{FromRow: 0, W: 0}))
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestPhaseInitialDelayWithBoundaryAtRowZero(t *testing.T) {
 	// The initial delay stacks on top of the row-0 phase's wait: both apply
 	// to the first tuple, later tuples only pay their phase wait.
 	tab := makeTable(t, 10)
-	q := comm.NewQueue("W", 10)
+	q := comm.NewQueue("W", 10, 1)
 	if _, err := New("W", tab, q, sim.NewRNG(1), 0,
 		WithPhases(Phase{FromRow: 0, W: 0}, Phase{FromRow: 5, W: 0}),
 		WithInitialDelay(2*time.Second)); err != nil {
@@ -73,7 +73,7 @@ func TestPhaseOutOfOrderRowsRejected(t *testing.T) {
 	// duplicate and non-zero-start schedules are all construction errors.
 	tab := makeTable(t, 10)
 	mk := func(phases ...Phase) error {
-		q := comm.NewQueue("W", 4)
+		q := comm.NewQueue("W", 4, 1)
 		_, err := New("W", tab, q, sim.NewRNG(1), 0, WithPhases(phases...))
 		return err
 	}
@@ -98,7 +98,7 @@ func script(t *testing.T, clauses ...fault.Clause) *fault.Script {
 func TestFaultStallDelaysOneRow(t *testing.T) {
 	tab := makeTable(t, 10)
 	mk := func(opts ...Option) []time.Duration {
-		q := comm.NewQueue("W", 10)
+		q := comm.NewQueue("W", 10, 1)
 		if _, err := New("W", tab, q, sim.NewRNG(1), 0, opts...); err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestFaultStallDelaysOneRow(t *testing.T) {
 
 func TestFaultBurstOverridesWait(t *testing.T) {
 	tab := makeTable(t, 100)
-	q := comm.NewQueue("W", 100)
+	q := comm.NewQueue("W", 100, 1)
 	src, err := New("W", tab, q, sim.NewRNG(1), 0,
 		WithMeanWait(0), WithFaults(script(t,
 			fault.Clause{Source: "W", Kind: fault.Burst, Row: 10, Rows: 20, Wait: us(500)})))
@@ -153,7 +153,7 @@ func TestFaultBurstOverridesWait(t *testing.T) {
 func TestFaultDisconnectShiftsTail(t *testing.T) {
 	tab := makeTable(t, 10)
 	mk := func(opts ...Option) ([]time.Duration, *Source) {
-		q := comm.NewQueue("W", 10)
+		q := comm.NewQueue("W", 10, 1)
 		src, err := New("W", tab, q, sim.NewRNG(1), 0, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestFaultDisconnectShiftsTail(t *testing.T) {
 func TestFaultDisconnectRestartPaysPrefix(t *testing.T) {
 	tab := makeTable(t, 10)
 	mk := func(restart bool) []time.Duration {
-		q := comm.NewQueue("W", 10)
+		q := comm.NewQueue("W", 10, 1)
 		if _, err := New("W", tab, q, sim.NewRNG(1), 0, WithMeanWait(us(10)), WithFaults(script(t,
 			fault.Clause{Source: "W", Kind: fault.Disconnect, Row: 6, Down: time.Second, Restart: restart}))); err != nil {
 			t.Fatal(err)
@@ -200,7 +200,7 @@ func TestFaultDisconnectRestartPaysPrefix(t *testing.T) {
 
 func TestFaultKillStopsDelivery(t *testing.T) {
 	tab := makeTable(t, 10)
-	q := comm.NewQueue("W", 10)
+	q := comm.NewQueue("W", 10, 1)
 	src, err := New("W", tab, q, sim.NewRNG(1), 0, WithMeanWait(us(10)), WithFaults(script(t,
 		fault.Clause{Source: "W", Kind: fault.Kill, Row: 6})))
 	if err != nil {
@@ -226,7 +226,7 @@ func TestFaultKillStopsDelivery(t *testing.T) {
 
 func TestStandbyReplicaActivate(t *testing.T) {
 	tab := makeTable(t, 10)
-	q := comm.NewQueue("W", 10)
+	q := comm.NewQueue("W", 10, 1)
 	if _, err := New("W", tab, q, sim.NewRNG(1), 0, WithMeanWait(us(10)), WithFaults(script(t,
 		fault.Clause{Source: "W", Kind: fault.Kill, Row: 6}))); err != nil {
 		t.Fatal(err)

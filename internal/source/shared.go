@@ -33,7 +33,7 @@ type Shared struct {
 
 // NewShared builds the shared stream's production schedule for a table. The
 // options describe the delivery behaviour (WithMeanWait, WithPhases,
-// WithInitialDelay); fault, standby, columnar and shared-stream options are
+// WithInitialDelay); fault, standby, pushdown and shared-stream options are
 // rejected — the first two are incompatible with sharing, the last two are
 // per-tap concerns.
 func NewShared(name string, table *relation.Table, rng *sim.RNG, opts ...Option) (*Shared, error) {
@@ -46,7 +46,7 @@ func NewShared(name string, table *relation.Table, rng *sim.RNG, opts ...Option)
 	for _, o := range opts {
 		o(s)
 	}
-	if len(s.faults) > 0 || s.standby || s.colMode || s.shared != nil {
+	if len(s.faults) > 0 || s.standby || s.keep != nil || s.shared != nil {
 		return nil, fmt.Errorf("source %q: shared stream accepts delivery options only", name)
 	}
 	if err := validateSchedule(s); err != nil {

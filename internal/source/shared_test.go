@@ -45,7 +45,7 @@ func TestSharedTapMatchesPrivateSource(t *testing.T) {
 	tab := makeTable(t, rows)
 	opts := []Option{WithMeanWait(us(10)), WithInitialDelay(us(25))}
 
-	qPriv := comm.NewQueue("W", rows)
+	qPriv := comm.NewQueue("W", rows, 1)
 	if _, err := New("W", tab, qPriv, sim.NewRNG(7), us(1), opts...); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSharedTapMatchesPrivateSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qTap := comm.NewQueue("W", rows)
+	qTap := comm.NewQueue("W", rows, 1)
 	if _, err := New("W", tab, qTap, sim.NewRNG(99), us(1), WithSharedStream(sh)); err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestSharedTapMatchesPrivateSource(t *testing.T) {
 		if ap != at {
 			t.Fatalf("row %d: tap arrival %v != private arrival %v", i, at, ap)
 		}
-		tp, tt := qPriv.Pop(ap), qTap.Pop(at)
-		if tp[0] != tt[0] {
+		tp, tt := pop(qPriv, ap), pop(qTap, at)
+		if tp != tt {
 			t.Fatalf("row %d: tap tuple %v != private tuple %v", i, tt, tp)
 		}
 	}
@@ -83,7 +83,7 @@ func TestSharedLateAttachFloorsReplayAtStartTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	attach := sh.SendAt(rows/2) + 1 // mid-stream: half the rows already sent
-	q := comm.NewQueue("W", rows)
+	q := comm.NewQueue("W", rows, 1)
 	if _, err := New("W", tab, q, sim.NewRNG(3), us(1), WithSharedStream(sh), WithStartTime(attach)); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSharedLateAttachFloorsReplayAtStartTime(t *testing.T) {
 		if want := sh.SendAt(i) + us(1); at < want {
 			t.Fatalf("row %d arrived at %v, before its physical send %v", i, at, want)
 		}
-		q.Pop(at)
+		pop(q, at)
 	}
 }
 
@@ -110,7 +110,7 @@ func TestSharedRefcountsTaps(t *testing.T) {
 	}
 	var taps []*Source
 	for i := 0; i < 3; i++ {
-		q := comm.NewQueue("W", 16)
+		q := comm.NewQueue("W", 16, 1)
 		src, err := New("W", tab, q, sim.NewRNG(int64(i+1)), 0, WithSharedStream(sh))
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +145,7 @@ func TestSharedRejectsIncompatibleOptions(t *testing.T) {
 	if _, err := NewShared("W", tab, sim.NewRNG(7), WithSharedStream(other)); err == nil {
 		t.Error("shared stream accepted a nested shared-stream option")
 	}
-	q := comm.NewQueue("W", 16)
+	q := comm.NewQueue("W", 16, 1)
 	if _, err := New("W", tab, q, sim.NewRNG(1), 0, WithSharedStream(other), AsStandby()); err == nil {
 		t.Error("standby replica attached to a shared stream")
 	}

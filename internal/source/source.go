@@ -75,29 +75,24 @@ type Source struct {
 	startAt   time.Duration // production start time of the next tuple
 	blocked   bool          // suspended by the window protocol
 
-	// Staging buffers for the pump: one Resume simulates every production
-	// the window allows and hands the whole run to the queue in a single
-	// PushN instead of a Push per tuple.
-	stageT  []relation.Tuple
-	stageAt []time.Duration
-
-	// Columnar pushdown state (WithColumnar). tcols is the shared column-major
-	// table; keep lists the live (projected) full-schema columns, in queue
-	// column order; predIdx/predLess is the pushed-down scan predicate
-	// (predIdx < 0 = none). The pump evaluates the predicate wrapper-side and
-	// stages only pass bits — a pump's staged rows are one contiguous table
-	// run, so the flush hands PushColsN sub-slices of the shared transpose
-	// directly, copying each live column into the ring exactly once.
-	// Filtered rows claim their window slot and arrival (flow control and
-	// rate estimation are pre-filter), but their value positions are
-	// unspecified and never read: the pass bit gates every consumer.
-	colMode   bool
+	// Columnar delivery state. tcols is the shared column-major table; keep
+	// lists the live (projected) full-schema columns, in queue column order;
+	// predIdx/predLess is the pushed-down scan predicate (predIdx < 0 =
+	// none). One Resume simulates every production the window allows and
+	// stages only arrivals and pass bits, evaluating the predicate
+	// wrapper-side — a pump's staged rows are one contiguous table run, so
+	// the flush hands PushColsN sub-slices of the shared transpose directly,
+	// copying each live column into the ring exactly once. Filtered rows
+	// claim their window slot and arrival (flow control and rate estimation
+	// are pre-filter), but their value positions are unspecified and never
+	// read: the pass bit gates every consumer.
 	tcols     [][]int64
 	keep      []int
 	predIdx   int
 	predLess  int64
 	colViews  [][]int64 // flush scratch: per-live-column views of the staged run
 	stagePass []bool
+	stageAt   []time.Duration
 }
 
 // Option configures a Source.
@@ -133,18 +128,17 @@ func WithFaults(sc *fault.Script) Option {
 	}
 }
 
-// WithColumnar switches the source to columnar delivery with selection and
-// projection pushed down to the wrapper. cols is the column-major form of the
-// source's table (relation.Table.Columns, shared and read-only); keep lists
-// the full-schema indices of the live columns that actually cross the wire,
-// in queue column order; predIdx/predLess is the plan's scan predicate
+// WithPushdown pushes selection and projection down to the wrapper: keep
+// lists the full-schema indices of the live columns that actually cross the
+// wire, in queue column order; predIdx/predLess is the plan's scan predicate
 // (column < less) evaluated wrapper-side, predIdx < 0 for none. The queue
-// must already be in columnar mode with width len(keep).
-func WithColumnar(cols [][]int64, keep []int, predIdx int, predLess int64) Option {
+// must have width len(keep). Without it, a source ships every column
+// unfiltered.
+func WithPushdown(keep []int, predIdx int, predLess int64) Option {
 	return func(s *Source) {
-		s.colMode = true
-		s.tcols = cols
-		s.keep = append([]int(nil), keep...)
+		// Never nil, even for an empty projection: nil keep means "no
+		// pushdown" to New.
+		s.keep = append(make([]int, 0, len(keep)), keep...)
 		s.predIdx = predIdx
 		s.predLess = predLess
 	}
@@ -184,12 +178,20 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 		rng:     rng,
 		netTime: netTime,
 		phases:  []Phase{{FromRow: 0, W: 0}},
+		tcols:   table.Columns(),
+		predIdx: -1,
 	}
 	for _, o := range opts {
 		o(s)
 	}
 	if err := validateSchedule(s); err != nil {
 		return nil, err
+	}
+	if s.keep == nil {
+		s.keep = make([]int, len(s.tcols))
+		for c := range s.keep {
+			s.keep[c] = c
+		}
 	}
 	for i := 1; i < len(s.faults); i++ {
 		if s.faults[i].Row < s.faults[i-1].Row {
@@ -211,20 +213,19 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 		}
 		s.shared.attach()
 	}
-	if s.colMode {
-		for _, c := range s.keep {
-			if c < 0 || c >= len(s.tcols) {
-				return nil, fmt.Errorf("source %q: live column %d outside width-%d table", name, c, len(s.tcols))
-			}
+	for _, c := range s.keep {
+		if c < 0 || c >= len(s.tcols) {
+			return nil, fmt.Errorf("source %q: live column %d outside width-%d table", name, c, len(s.tcols))
 		}
-		if s.predIdx >= len(s.tcols) {
-			return nil, fmt.Errorf("source %q: predicate column %d outside width-%d table", name, s.predIdx, len(s.tcols))
-		}
-		s.colViews = make([][]int64, len(s.keep))
-		s.stagePass = make([]bool, 0, q.Capacity())
-	} else {
-		s.stageT = make([]relation.Tuple, 0, q.Capacity())
 	}
+	if s.predIdx >= len(s.tcols) {
+		return nil, fmt.Errorf("source %q: predicate column %d outside width-%d table", name, s.predIdx, len(s.tcols))
+	}
+	if len(s.keep) != q.Width() {
+		return nil, fmt.Errorf("source %q: %d live columns for a width-%d queue", name, len(s.keep), q.Width())
+	}
+	s.colViews = make([][]int64, len(s.keep))
+	s.stagePass = make([]bool, 0, q.Capacity())
 	s.stageAt = make([]time.Duration, 0, q.Capacity())
 	if !s.standby {
 		q.SetProducer(s)
@@ -343,11 +344,11 @@ func (s *Source) Resume(now time.Duration) { s.pump(now) }
 // it or the rows are exhausted. floor is the earliest instant the currently
 // held tuple may be sent (the pop time when resuming from suspension).
 //
-// Productions are staged locally and handed to the queue in one PushN: a
-// Push has no observable effect besides buffer state (no clock, no RNG), so
-// deferring the buffer writes to the end of the pump is exact. Staged
+// Productions are staged locally and handed to the queue in one PushColsN:
+// a push has no observable effect besides buffer state (no clock, no RNG),
+// so deferring the buffer writes to the end of the pump is exact. Staged
 // tuples count against the window while staging, keeping the suspension
-// point identical to the push-per-tuple loop.
+// point identical to a push-per-tuple loop.
 func (s *Source) pump(floor time.Duration) {
 	if s.dead || s.detached {
 		return
@@ -414,14 +415,10 @@ func (s *Source) pump(floor time.Duration) {
 			s.outages = append(s.outages, fault.Outage{From: send, To: send + down})
 			send += down
 		}
-		if s.colMode {
-			// Wrapper-side selection: same `col < less` semantics as
-			// operator.EvalPred on the mediator. Only the pass bit is staged
-			// per row — the values flush as contiguous column runs below.
-			s.stagePass = append(s.stagePass, s.predIdx < 0 || s.tcols[s.predIdx][s.next] < s.predLess)
-		} else {
-			s.stageT = append(s.stageT, s.rows[s.next])
-		}
+		// Wrapper-side selection: same `col < less` semantics as
+		// operator.EvalPred. Only the pass bit is staged per row — the values
+		// flush as contiguous column runs below.
+		s.stagePass = append(s.stagePass, s.predIdx < 0 || s.tcols[s.predIdx][s.next] < s.predLess)
 		s.stageAt = append(s.stageAt, send+s.netTime)
 		staged++
 		s.next++
@@ -433,21 +430,16 @@ func (s *Source) pump(floor time.Duration) {
 		s.blocked = false
 	}
 	if staged > 0 {
-		if s.colMode {
-			// The staged rows are exactly [next-staged, next): the cursor
-			// advances one row per staged slot and every break above happens
-			// before staging. Each live column therefore pushes as one
-			// sub-slice of the shared transpose — no per-value staging copy.
-			start := s.next - staged
-			for j, c := range s.keep {
-				s.colViews[j] = s.tcols[c][start:s.next]
-			}
-			s.q.PushColsN(s.colViews, s.stagePass, s.stageAt)
-			s.stagePass = s.stagePass[:0]
-		} else {
-			s.q.PushN(s.stageT, s.stageAt)
-			s.stageT = s.stageT[:0]
+		// The staged rows are exactly [next-staged, next): the cursor
+		// advances one row per staged slot and every break above happens
+		// before staging. Each live column therefore pushes as one sub-slice
+		// of the shared transpose — no per-value staging copy.
+		start := s.next - staged
+		for j, c := range s.keep {
+			s.colViews[j] = s.tcols[c][start:s.next]
 		}
+		s.q.PushColsN(s.colViews, s.stagePass, s.stageAt)
+		s.stagePass = s.stagePass[:0]
 		s.stageAt = s.stageAt[:0]
 	}
 }

@@ -1,6 +1,7 @@
 package source
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -18,9 +19,21 @@ func makeTable(t *testing.T, n int) *relation.Table {
 
 func us(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 
+// pop removes the oldest slot at now and credits it at once — the consumer
+// side of the window protocol, one slot at a time — returning the slot's
+// first column.
+func pop(q *comm.Queue, now time.Duration) int64 {
+	b := relation.NewBatch(q.Width())
+	if q.PopColsN(now, b, make([]bool, 1)) != 1 {
+		panic(fmt.Sprintf("pop at %v: no arrived slot", now))
+	}
+	q.Credit(now)
+	return b.Col(0)[0]
+}
+
 func TestSourceDeliversEverythingInOrder(t *testing.T) {
 	tab := makeTable(t, 500)
-	q := comm.NewQueue("W", 32)
+	q := comm.NewQueue("W", 32, 1)
 	src, err := New("W", tab, q, sim.NewRNG(2), us(1), WithMeanWait(us(10)))
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +53,8 @@ func TestSourceDeliversEverythingInOrder(t *testing.T) {
 		if at > now {
 			now = at
 		}
-		got := q.Pop(now)
-		if got[0] != popped {
+		got := pop(q, now)
+		if got != popped {
 			t.Fatalf("tuple %d out of order: %v", popped, got)
 		}
 		popped++
@@ -53,7 +66,7 @@ func TestSourceDeliversEverythingInOrder(t *testing.T) {
 
 func TestSourceWindowProtocolBlocks(t *testing.T) {
 	tab := makeTable(t, 100)
-	q := comm.NewQueue("W", 8)
+	q := comm.NewQueue("W", 8, 1)
 	src, err := New("W", tab, q, sim.NewRNG(2), 0, WithMeanWait(0))
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +79,7 @@ func TestSourceWindowProtocolBlocks(t *testing.T) {
 	if !src.Blocked() {
 		t.Error("source not blocked on a full window")
 	}
-	q.Pop(time.Second)
+	pop(q, time.Second)
 	if q.Len() != 8 {
 		t.Errorf("pop did not let the wrapper refill (len=%d)", q.Len())
 	}
@@ -74,12 +87,12 @@ func TestSourceWindowProtocolBlocks(t *testing.T) {
 
 func TestSourceResumeUsesPopTimeAsFloor(t *testing.T) {
 	tab := makeTable(t, 3)
-	q := comm.NewQueue("W", 1)
+	q := comm.NewQueue("W", 1, 1)
 	if _, err := New("W", tab, q, sim.NewRNG(2), 0, WithMeanWait(0)); err != nil {
 		t.Fatal(err)
 	}
 	// Tuple 0 arrives at ~0 and is held; the queue has one slot.
-	q.Pop(200 * time.Millisecond)
+	pop(q, 200*time.Millisecond)
 	at, ok := q.NextArrival()
 	if !ok {
 		t.Fatal("no refill after pop")
@@ -92,7 +105,7 @@ func TestSourceResumeUsesPopTimeAsFloor(t *testing.T) {
 func TestSourceMeanWaitStatistics(t *testing.T) {
 	const n = 20000
 	tab := makeTable(t, n)
-	q := comm.NewQueue("W", n) // no backpressure
+	q := comm.NewQueue("W", n, 1) // no backpressure
 	src, err := New("W", tab, q, sim.NewRNG(5), 0, WithMeanWait(us(50)))
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +119,7 @@ func TestSourceMeanWaitStatistics(t *testing.T) {
 	for q.Len() > 0 {
 		at, _ := q.NextArrival()
 		lastArrival = at
-		q.Pop(now)
+		pop(q, now)
 	}
 	want := time.Duration(n) * us(50)
 	if lastArrival < want*9/10 || lastArrival > want*11/10 {
@@ -116,7 +129,7 @@ func TestSourceMeanWaitStatistics(t *testing.T) {
 
 func TestSourceInitialDelay(t *testing.T) {
 	tab := makeTable(t, 5)
-	q := comm.NewQueue("W", 8)
+	q := comm.NewQueue("W", 8, 1)
 	if _, err := New("W", tab, q, sim.NewRNG(2), 0,
 		WithMeanWait(0), WithInitialDelay(3*time.Second)); err != nil {
 		t.Fatal(err)
@@ -129,7 +142,7 @@ func TestSourceInitialDelay(t *testing.T) {
 
 func TestSourcePhases(t *testing.T) {
 	tab := makeTable(t, 1000)
-	q := comm.NewQueue("W", 1000)
+	q := comm.NewQueue("W", 1000, 1)
 	src, err := New("W", tab, q, sim.NewRNG(2), 0, WithPhases(
 		Phase{FromRow: 0, W: 0},
 		Phase{FromRow: 500, W: us(100)},
@@ -151,7 +164,7 @@ func TestSourcePhases(t *testing.T) {
 		case 999:
 			at999 = at
 		}
-		q.Pop(now)
+		pop(q, now)
 	}
 	if at499 > 10*time.Millisecond {
 		t.Errorf("fast phase ended at %v, want ~0", at499)
@@ -170,7 +183,7 @@ func TestSourcePhases(t *testing.T) {
 func TestSourceOptionValidation(t *testing.T) {
 	tab := makeTable(t, 10)
 	mk := func(opts ...Option) error {
-		q := comm.NewQueue("W", 4)
+		q := comm.NewQueue("W", 4, 1)
 		_, err := New("W", tab, q, sim.NewRNG(1), 0, opts...)
 		return err
 	}
@@ -190,7 +203,7 @@ func TestSourceOptionValidation(t *testing.T) {
 
 func TestExpectedRetrieval(t *testing.T) {
 	tab := makeTable(t, 1000)
-	q := comm.NewQueue("W", 4)
+	q := comm.NewQueue("W", 4, 1)
 	src, err := New("W", tab, q, sim.NewRNG(2), us(3),
 		WithMeanWait(us(20)), WithInitialDelay(time.Second))
 	if err != nil {
@@ -208,7 +221,7 @@ func TestSourceDeterministicDelaysAcrossConsumptionPatterns(t *testing.T) {
 	// (arrival times may differ only through window-protocol floors).
 	mkArrivals := func(popEvery int) []time.Duration {
 		tab := makeTable(t, 200)
-		q := comm.NewQueue("W", 200) // wide window: no floors
+		q := comm.NewQueue("W", 200, 1) // wide window: no floors
 		if _, err := New("W", tab, q, sim.NewRNG(77), 0, WithMeanWait(us(10))); err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +233,7 @@ func TestSourceDeterministicDelaysAcrossConsumptionPatterns(t *testing.T) {
 			out = append(out, at)
 			i++
 			_ = popEvery
-			q.Pop(now)
+			pop(q, now)
 		}
 		return out
 	}
