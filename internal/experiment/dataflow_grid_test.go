@@ -14,6 +14,7 @@ import (
 	"dqs/internal/core"
 	"dqs/internal/exec"
 	"dqs/internal/fault"
+	"dqs/internal/relation"
 	"dqs/internal/source"
 	"dqs/internal/workload"
 )
@@ -57,10 +58,11 @@ type dataflowGridCell struct {
 
 // dataflowGrid lists the grid pinned by dataflow_grid.golden: both delay
 // classes of §1.2 on the default config, the ablation study's 2 MiB memory
-// pressure point (strand, mid-batch UnpopN, temp spill, memory repair), and
-// an injected fault plan covering every failure class — transient stall,
-// burst storm, disconnect/reconnect, and a permanent death with replica
-// failover.
+// pressure point (strand, mid-batch UnpopN, temp spill, memory repair) on
+// both memory paths — the paper's eager disk temps and the governor's
+// resident temps — and an injected fault plan covering every failure class
+// — transient stall, burst storm, disconnect/reconnect, and a permanent
+// death with replica failover.
 func dataflowGrid(t *testing.T, o Options) []dataflowGridCell {
 	t.Helper()
 	base := exec.DefaultConfig()
@@ -80,6 +82,9 @@ func dataflowGrid(t *testing.T, o Options) []dataflowGridCell {
 	pressure := base
 	pressure.MemoryBytes = 2 << 20
 	grid = append(grid, dataflowGridCell{name: "mem-pressure", cfg: pressure, mk: uniform})
+	governed := pressure
+	governed.Governor = true
+	grid = append(grid, dataflowGridCell{name: "mem-pressure-governed", cfg: governed, mk: uniform})
 
 	at := func(rel string, frac float64) int { return int(frac * float64(o.cardOf(rel))) }
 	spec := fmt.Sprintf("C:stall@%d+%v;C:burst@%d+%dx300us;D:drop@%d+%v;A:kill@%d;A:replica,connect=%v",
@@ -99,7 +104,10 @@ type resultFields exec.Result
 
 // dataflowGridLine runs one strategy × seed of a grid cell at the given
 // intra-run worker count and renders the run's full Result (or its error)
-// as one golden line.
+// as one golden line. On the legacy memory path it also requires the
+// governor to stay idle for the whole run — nothing resident at any emitted
+// tuple or at the end, nothing ever spilled — which is what lets the
+// engine ask the governor to free memory without checking Config.Governor.
 func dataflowGridLine(t *testing.T, o Options, cell dataflowGridCell, strategy string, seed int64, workers int) string {
 	t.Helper()
 	w, err := o.loadWorkload(seed)
@@ -109,7 +117,28 @@ func dataflowGridLine(t *testing.T, o Options, cell dataflowGridCell, strategy s
 	c := cell.cfg
 	c.Seed = seed
 	c.Workers = workers
-	res, err := runStrategy(w, c, cell.mk(w), strategy)
+	st := acquireRunState()
+	defer st.release()
+	c.Scratch = st.Scratch
+	rt, err := exec.NewRuntime(c, w.Root, w.Dataset, cell.mk(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Med.Reclaim()
+	gov := rt.Med.Gov
+	var maxResident int64
+	if !c.Governor {
+		rt.SetSink(exec.SinkFunc(func(time.Duration, relation.Tuple) {
+			maxResident = max(maxResident, gov.ResidentBytes())
+		}))
+	}
+	res, err := core.RunStrategyOn(rt, strategy)
+	if !c.Governor {
+		if maxResident != 0 || gov.ResidentBytes() != 0 || gov.SpilledPages() != 0 {
+			t.Errorf("%s/%s/seed%d: legacy memory path touched the governor: max resident %d bytes, %d resident at end, %d pages spilled",
+				cell.name, strategy, seed, maxResident, gov.ResidentBytes(), gov.SpilledPages())
+		}
+	}
 	if err != nil {
 		return fmt.Sprintf("%s/%s/seed%d: error: %v\n", cell.name, strategy, seed, err)
 	}
