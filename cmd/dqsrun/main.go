@@ -79,7 +79,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed (data and delays)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "intra-run worker pool of the parallel join kernels; the run summary is identical at any setting")
 		parts     = flag.Int("partitions", dqs.AutoPartitions(runtime.GOMAXPROCS(0)), "radix-partition count of the join hash tables (power of two); the run summary is identical at any setting")
-		governor  = flag.Bool("governor", false, "enable the budget-aware materialization governor (chunked resident temps, largest-release-first memory repair, prefix reuse)")
+		governor  = flag.Bool("governor", false, "enable the budget-aware materialization governor (temp pages stay resident under the grant and spill to disk on pressure, instead of the paper's eager disk writes)")
 		stream    = flag.Bool("stream", false, "stream result tuples as they are produced and print the output ramp")
 		faults    = flag.String("faults", "", "fault scenario, e.g. 'C:burst@100+500x300us;D:kill@5000;D:replica,connect=50ms'")
 		faultSeed = flag.Int64("fault-seed", 1, "random seed of the fault scenario's timing draws")

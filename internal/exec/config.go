@@ -109,16 +109,15 @@ type Config struct {
 	// FaultRetries bounds the probes before the engine declares the wrapper
 	// dead and recovers (replica failover, partial results, or an error).
 	FaultRetries int
-	// Governor enables the budget-aware materialization scheduler: a
-	// mem.Governor tracks per-chain build reservations and spill priorities,
-	// materialization fragments write chunked temps whose freshly produced
-	// pages stay memory-resident until evicted (largest temp first, oldest
-	// pages first), memory repair chooses the split releasing the most bytes
-	// across all candidate chains instead of the first overflowing one, and
-	// closed materializations are reused across replans keyed on their step
-	// signature. Off (the default), the engine runs the legacy whole-
-	// fragment/first-overflow path bit-identically to builds without
-	// governor support.
+	// Governor selects the temp-relation cost model. On, materialization
+	// fragments write chunked temps: a freshly produced page stays resident
+	// under the memory grant (capped at a quarter of it) and is written to
+	// disk only if the governor spills it to make room for a hash-table
+	// build (largest temp first, oldest pages first), so a reader that
+	// keeps up never pays the write or the read. Off (the default), every
+	// page is written to disk eagerly, the paper's §4.4 assumption. Both
+	// paths share every other line of the engine; NewMediator is the only
+	// reader of this field.
 	Governor bool
 	// Stream, when non-nil, receives every result tuple the instant it is
 	// produced (insert-only, correct-so-far streaming delivery). Streaming

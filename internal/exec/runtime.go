@@ -143,15 +143,12 @@ func (rt *Runtime) EstBuildBytes(c *plan.Chain) int64 {
 }
 
 // reserveBuild claims n bytes of grant for a table build, attributing them
-// to the table's holder. In governor mode a failed reservation first asks
-// the governor to spill resident materialization pages — evicting an
-// already-durable-on-demand prefix is always cheaper than overflowing a
-// build — and retries once.
+// to the table's holder. A failed reservation first asks the governor to
+// spill resident temp pages — evicting an already-durable-on-demand prefix
+// is always cheaper than overflowing a build — and retries once. On the
+// paper's eager-disk temp path nothing is resident, so the retry fails too.
 func (rt *Runtime) reserveBuild(ts *tableState, n int64) bool {
 	if !rt.Mem.Reserve(n) {
-		if !rt.Cfg.Governor {
-			return false
-		}
 		rt.Med.Gov.FreeUp(n)
 		if !rt.Mem.Reserve(n) {
 			return false
@@ -298,7 +295,6 @@ func (rt *Runtime) Cancel() {
 	for _, id := range ids {
 		rt.releaseTable(rt.tables[id].join)
 	}
-	rt.Temps.InvalidatePrefixes(rt.Label + "/")
 	names := make([]string, 0, len(rt.sources))
 	for name := range rt.sources {
 		names = append(names, name)

@@ -8,15 +8,15 @@ import (
 )
 
 // FirstTupleLatency sweeps the memory grant and measures latency-to-first-
-// tuple next to total response time, comparing legacy DSE (whole-fragment
-// materialization, first-overflow repair) against governed DSE (chunked
-// resident materialization, largest-release-first repair, prefix reuse)
-// with timeout-driven scrambling (SCR) as the first-tuple reference. Under
-// pressure the governor keeps hot materialization suffixes resident and
-// spills cold prefixes instead of splitting plans, so answers start flowing
-// earlier and fewer fragments are abandoned to memory repair. Infeasible
-// grants (for either engine path, or SCR overflowing — it cannot
-// materialize) are expected per-point outcomes plotted as -1.
+// tuple next to total response time, comparing legacy DSE (the paper's
+// eager disk temps) against governed DSE (chunked temps whose hot pages
+// stay resident under the grant), with timeout-driven scrambling (SCR) as
+// the first-tuple reference. Both paths run the same DQS/DQO planning and
+// memory repair; the governed one skips the disk write and read of every
+// temp page it keeps resident, so answers start flowing earlier wherever
+// the grant leaves room for residency. Infeasible grants (for either
+// engine path, or SCR overflowing — it cannot materialize) are expected
+// per-point outcomes plotted as -1.
 func FirstTupleLatency(o Options) (*Figure, error) {
 	fig := NewFigure("FirstTuple/memory", "first-tuple latency vs memory grant; -1 = infeasible",
 		"grant(MB)", "value",

@@ -105,7 +105,8 @@ func (g *Governor) Note(h HolderID, delta int64) {
 func (g *Governor) Held(h HolderID) int64 { return g.holders[h].Bytes }
 
 // Holdings snapshots every non-zero holding, largest first (ties in
-// registration order) — the spill-priority view the planner reads.
+// registration order). It is a diagnostic view: no scheduling or spill
+// decision reads it.
 func (g *Governor) Holdings() []Holding {
 	out := make([]Holding, 0, len(g.holders))
 	for _, h := range g.holders {

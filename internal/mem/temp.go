@@ -26,11 +26,6 @@ type TempStore struct {
 	// cannot cover them at all).
 	gov     *Governor
 	chunked bool
-	// prefixes indexes closed materializations by fragment step signature so
-	// a replan that re-creates the same segment can adopt the prefix it
-	// already paid for instead of re-materializing it.
-	prefixes   map[string]*Temp
-	prefixHits int
 }
 
 // IntRecycler supplies and reclaims flat []int64 arenas, so a run pool can
@@ -63,11 +58,13 @@ func NewTempStore(params sim.Params, disk *sim.Disk, clock *sim.Clock) *TempStor
 // far.
 func (s *TempStore) SetPool(p IntRecycler) { s.pool = p }
 
-// SetGovernor attaches a memory governor. With chunked materialization
+// SetGovernor attaches a memory governor and picks the memory path; it is
+// the engine's only switch between the two. With chunked materialization
 // enabled, asynchronous temps keep freshly written pages resident under the
 // governor's grant (spilled on demand, oldest first) instead of writing
 // every page to disk eagerly; synchronous temps — the classic-iterator
-// materialize-all path — are unaffected.
+// materialize-all path — are unaffected. Disabled, no page is ever
+// resident, so the governor never holds or spills temp pages.
 func (s *TempStore) SetGovernor(g *Governor, chunked bool) {
 	s.gov = g
 	s.chunked = chunked && g != nil
@@ -79,45 +76,6 @@ func (s *TempStore) SetGovernor(g *Governor, chunked bool) {
 func (s *TempStore) pageBytes() int64 {
 	return int64(s.params.TuplesPerPage()) * int64(s.params.TupleSize)
 }
-
-// RegisterPrefix publishes a closed temp under a fragment step signature so
-// a later replan of the same steps can reuse it. Re-registering a signature
-// keeps the newest temp.
-func (s *TempStore) RegisterPrefix(sig string, t *Temp) {
-	if sig == "" || t == nil || !t.closed {
-		return
-	}
-	if s.prefixes == nil {
-		s.prefixes = make(map[string]*Temp)
-	}
-	s.prefixes[sig] = t
-}
-
-// ReusePrefix looks up an already-materialized prefix by signature. A hit
-// hands back the temp (still registered: several replans may consult it) and
-// counts toward PrefixHits.
-func (s *TempStore) ReusePrefix(sig string) (*Temp, bool) {
-	t, ok := s.prefixes[sig]
-	if ok {
-		s.prefixHits++
-	}
-	return t, ok
-}
-
-// InvalidatePrefixes drops every registered prefix whose signature starts
-// with keyPrefix — called on structural plan changes (splits, degradation
-// swaps), where the old materialization no longer matches the new segment
-// boundaries. An empty keyPrefix clears everything.
-func (s *TempStore) InvalidatePrefixes(keyPrefix string) {
-	for sig := range s.prefixes {
-		if len(sig) >= len(keyPrefix) && sig[:len(keyPrefix)] == keyPrefix {
-			delete(s.prefixes, sig)
-		}
-	}
-}
-
-// PrefixHits returns how many ReusePrefix calls found a reusable temp.
-func (s *TempStore) PrefixHits() int { return s.prefixHits }
 
 // Reclaim hands every created temp's tuple arena back to the pool. The
 // store and its temps must not be used afterwards: callers reclaim only
@@ -131,7 +89,6 @@ func (s *TempStore) Reclaim() {
 		}
 	}
 	s.temps = nil
-	s.prefixes = nil
 }
 
 // Create opens a new temporary relation with the given schema, written with
