@@ -1,25 +1,29 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
+// roundTripSpecs cover every clause kind and replica option of the Parse
+// grammar; they are the round-trip test's cases and FuzzParse's seeds.
+var roundTripSpecs = []string{
+	"C:stall@100+150ms",
+	"C:burst@100+500x300us",
+	"D:drop@5000+2s",
+	"D:drop@5000+2s,restart",
+	"A:kill@9000",
+	"A:replica",
+	"A:replica,wait=1ms,connect=50ms,restart",
+	"C:burst@100+500x300us;D:drop@5000+2s;A:kill@9000;A:replica,connect=50ms",
+}
+
 func TestParseRoundTrip(t *testing.T) {
 	// String renders in the Parse grammar, so parse→print→parse must be a
 	// fixed point.
-	specs := []string{
-		"C:stall@100+150ms",
-		"C:burst@100+500x300us",
-		"D:drop@5000+2s",
-		"D:drop@5000+2s,restart",
-		"A:kill@9000",
-		"A:replica",
-		"A:replica,wait=1ms,connect=50ms,restart",
-		"C:burst@100+500x300us;D:drop@5000+2s;A:kill@9000;A:replica,connect=50ms",
-	}
-	for _, spec := range specs {
+	for _, spec := range roundTripSpecs {
 		p, err := Parse(spec)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", spec, err)
@@ -35,6 +39,30 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("round trip not a fixed point: %q -> %q -> %q", spec, printed, q.String())
 		}
 	}
+}
+
+// FuzzParse drives Parse with arbitrary specs: it must return an error or a
+// plan, never panic, and any plan it returns must print back to a spec that
+// parses to an equal plan. `go test` runs only the seed corpus; explore with
+// `go test -run '^$' -fuzz FuzzParse -fuzztime 60s ./internal/fault`.
+func FuzzParse(f *testing.F) {
+	for _, spec := range roundTripSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		printed := p.String()
+		q, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("Parse(%q) succeeded but Parse(String()) = Parse(%q): %v", spec, printed, err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the plan: %q -> %q\nfirst:  %+v\nsecond: %+v", spec, printed, p, q)
+		}
+	})
 }
 
 func TestParseFields(t *testing.T) {
